@@ -41,8 +41,6 @@ func main() {
 		replicas        = flag.String("replicas", "", "comma-separated btserve base URLs to front (required)")
 		vnodes          = flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per replica on the hash ring")
 		loadFactor      = flag.Float64("load-factor", gateway.DefaultLoadFactor, "bounded-load spill factor (>= 1)")
-		noFill          = flag.Bool("no-fill", false, "disable the cache-fill probe on spilled requests")
-		fillTimeout     = flag.Duration("fill-timeout", 0, "cache-fill probe budget (0 = serve default)")
 		forwardTimeout  = flag.Duration("forward-timeout", gateway.DefaultForwardTimeout, "per-exchange proxy budget for query/batch")
 		strikeThreshold = flag.Int("strike-threshold", 0, "transport failures before a replica is quarantined (0 = default 3, negative disables ejection)")
 		strikeWindow    = flag.Duration("strike-window", 0, "strike decay / base quarantine window (0 = default 10s)")
@@ -57,10 +55,9 @@ func main() {
 	defer cancel()
 	if err := run(os.Stdout, logger, options{
 		addr: *addr, replicas: splitList(*replicas), vnodes: *vnodes,
-		loadFactor: *loadFactor, noFill: *noFill, fillTimeout: *fillTimeout,
-		forwardTimeout: *forwardTimeout, strikeThreshold: *strikeThreshold,
-		strikeWindow: *strikeWindow, drainTimeout: *drainTimeout,
-		debugAddr: *debugAddr, traceSpans: *traceSpans,
+		loadFactor: *loadFactor, forwardTimeout: *forwardTimeout,
+		strikeThreshold: *strikeThreshold, strikeWindow: *strikeWindow,
+		drainTimeout: *drainTimeout, debugAddr: *debugAddr, traceSpans: *traceSpans,
 	}, ctx.Done(), nil); err != nil {
 		logger.Error("btgate failed", "err", err)
 		os.Exit(1)
@@ -72,8 +69,6 @@ type options struct {
 	replicas        []string
 	vnodes          int
 	loadFactor      float64
-	noFill          bool
-	fillTimeout     time.Duration
 	forwardTimeout  time.Duration
 	strikeThreshold int
 	strikeWindow    time.Duration
@@ -118,8 +113,6 @@ func run(w io.Writer, logger *slog.Logger, o options, stop <-chan struct{}, read
 		Replicas:        o.replicas,
 		VNodes:          o.vnodes,
 		LoadFactor:      o.loadFactor,
-		FillProbeOff:    o.noFill,
-		FillTimeout:     o.fillTimeout,
 		ForwardTimeout:  o.forwardTimeout,
 		StrikeThreshold: o.strikeThreshold,
 		StrikeWindow:    o.strikeWindow,

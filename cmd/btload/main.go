@@ -130,7 +130,7 @@ type report struct {
 	Shed       int64   `json:"shed"`   // 429s
 	Errors     int64   `json:"errors"` // everything else non-2xx, plus transport failures
 	CacheHits  int64   `json:"cacheHits"`
-	CacheFills int64   `json:"cacheFills"`
+	SpillFills int64   `json:"cacheFills"` // spills the gateway served from the home's cache
 
 	// Exact quantiles over every recorded per-exchange latency.
 	P50Ms float64 `json:"p50Ms"`
@@ -368,7 +368,7 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 	rep.Shed = shed.Load()
 	rep.Errors = errs.Load()
 	rep.CacheHits = hits.Load()
-	rep.CacheFills = fills.Load()
+	rep.SpillFills = fills.Load()
 	rep.Rate = float64(rep.Items) / elapsed.Seconds()
 	rep.P50Ms = exactQuantile(all, 0.50)
 	rep.P95Ms = exactQuantile(all, 0.95)

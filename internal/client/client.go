@@ -17,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/retry"
 	"repro/internal/stats"
+	"repro/internal/strike"
 	"repro/internal/trace"
 	"repro/internal/tracker"
 	"repro/internal/wire"
@@ -83,7 +84,7 @@ type Config struct {
 	AnnounceTiers [][]string
 	// BanThreshold is how many offenses (corrupt pieces, stalled request
 	// pipelines) an address may accumulate before it is banned (default
-	// 2). Negative disables quarantine.
+	// 2). Negative disables quarantine; offenses are still counted.
 	BanThreshold int
 	// BanDuration is the base ban window; bans escalate by doubling and
 	// offenses decay after a clean window (default 1 min).
@@ -229,7 +230,7 @@ type Client struct {
 
 	// Event-loop-confined state.
 	conns    map[*peerConn]struct{}
-	bans     *banList
+	bans     *strike.Book[string] // keyed by peer "ip:port"
 	picker   *picker
 	limiter  *uploadLimiter
 	shaken   bool
@@ -277,7 +278,7 @@ func New(cfg Config) (*Client, error) {
 		dialCtx:    dialCtx,
 		dialCancel: dialCancel,
 		conns:      make(map[*peerConn]struct{}),
-		bans:       newBanList(cfg.BanThreshold, cfg.BanDuration, nil),
+		bans:       strike.New[string](cfg.BanThreshold, cfg.BanDuration),
 		limiter:    newUploadLimiter(cfg.UploadRate),
 		completeCh: make(chan struct{}),
 	}, nil
@@ -572,7 +573,7 @@ func (c *Client) onPeerList(peers []tracker.PeerInfo) {
 			continue
 		}
 		addr := net.JoinHostPort(p.IP.String(), strconv.Itoa(p.Port))
-		if c.bans.banned(addr) {
+		if c.bans.Quarantined(addr, time.Now()) {
 			continue // quarantined: do not re-dial while the ban holds
 		}
 		budget--
@@ -621,12 +622,9 @@ func (c *Client) connectedToPort(port int) bool {
 // once the ban threshold is reached. Banned addresses are neither
 // re-dialed nor re-admitted until the ban decays.
 func (c *Client) recordOffense(pc *peerConn, reason string) {
-	if c.cfg.BanThreshold < 0 {
-		return
-	}
 	addr := pc.netc.RemoteAddr().String()
 	c.met.offense()
-	if c.bans.offense(addr) {
+	if c.bans.Strike(addr, time.Now()) {
 		c.met.ban()
 		c.log.Warn("peer banned", "peer", addr, "reason", reason)
 		c.onDisconnected(pc)
@@ -639,7 +637,7 @@ func (c *Client) onConnected(pc *peerConn) {
 		_ = pc.netc.Close()
 		return
 	}
-	if c.cfg.BanThreshold >= 0 && c.bans.banned(pc.netc.RemoteAddr().String()) {
+	if c.bans.Quarantined(pc.netc.RemoteAddr().String(), time.Now()) {
 		_ = pc.netc.Close()
 		return
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/retry"
+	"repro/internal/strike"
 )
 
 // Defaults for Config zero values.
@@ -101,7 +102,11 @@ type Coordinator struct {
 	mu      sync.Mutex
 	ln      net.Listener
 	workers map[*workerConn]struct{}
-	health  *healthBook
+	// health strikes workers by name (nacks, lease expiries,
+	// disconnects with leases held); quarantined workers are skipped
+	// while any healthy one has a free slot.
+	health  *strike.Book[string]
+	latency workerLatency
 	// open maps shard address → every open shard with that address
 	// (identical computations submitted concurrently share results).
 	open     map[string][]*shard
@@ -215,11 +220,8 @@ func New(cfg Config) *Coordinator {
 	if cfg.StragglerAfter == 0 {
 		cfg.StragglerAfter = defaultStragglerScale * cfg.LeaseTTL
 	}
-	switch {
-	case cfg.StrikeThreshold == 0:
+	if cfg.StrikeThreshold == 0 {
 		cfg.StrikeThreshold = defaultStrikeThreshold
-	case cfg.StrikeThreshold < 0:
-		cfg.StrikeThreshold = 0 // quarantine disabled, strikes still counted
 	}
 	if cfg.StrikeWindow <= 0 {
 		cfg.StrikeWindow = defaultStrikeScale * cfg.LeaseTTL
@@ -244,7 +246,8 @@ func New(cfg Config) *Coordinator {
 		logger:  obs.Component(obs.OrNop(cfg.Logger), "dist"),
 		now:     cfg.now,
 		workers: make(map[*workerConn]struct{}),
-		health:  newHealthBook(cfg.StrikeThreshold, cfg.StrikeWindow),
+		health:  strike.New[string](cfg.StrikeThreshold, cfg.StrikeWindow),
+		latency: make(workerLatency),
 		open:    make(map[string][]*shard),
 		stop:    make(chan struct{}),
 
@@ -385,7 +388,7 @@ func (c *Coordinator) HealthyWorkers() int {
 func (c *Coordinator) healthyWorkersLocked(now time.Time) int {
 	n := 0
 	for w := range c.workers {
-		if !w.gone && !w.draining && !c.health.quarantined(w.name, now) {
+		if !w.gone && !w.draining && !c.health.Quarantined(w.name, now) {
 			n++
 		}
 	}
@@ -396,7 +399,7 @@ func (c *Coordinator) healthyWorkersLocked(now time.Time) int {
 func (c *Coordinator) refreshHealthGaugeLocked(now time.Time) {
 	q := 0
 	for w := range c.workers {
-		if !w.gone && c.health.quarantined(w.name, now) {
+		if !w.gone && c.health.Quarantined(w.name, now) {
 			q++
 		}
 	}
@@ -407,9 +410,9 @@ func (c *Coordinator) refreshHealthGaugeLocked(now time.Time) {
 // quarantine.
 func (c *Coordinator) strikeLocked(w *workerConn, now time.Time, why string) {
 	c.cStrikes.Inc()
-	if c.health.strike(w.name, now) {
+	if c.health.Strike(w.name, now) {
 		c.logger.Warn("worker quarantined", "worker", w.name,
-			"strikes", c.health.strikeCount(w.name), "why", why)
+			"strikes", c.health.Strikes(w.name), "why", why)
 	}
 	c.refreshHealthGaugeLocked(now)
 }
@@ -600,8 +603,8 @@ func (c *Coordinator) freeWorkerLocked(except *workerConn, now time.Time) *worke
 		if w.active != cur.active {
 			return w.active < cur.active
 		}
-		wl, wok := c.health.latency(w.name)
-		cl, cok := c.health.latency(cur.name)
+		wl, wok := c.latency[w.name]
+		cl, cok := c.latency[cur.name]
 		if wok && cok && wl != cl {
 			return wl < cl
 		}
@@ -611,7 +614,7 @@ func (c *Coordinator) freeWorkerLocked(except *workerConn, now time.Time) *worke
 		if w == except || w.gone || w.draining || w.active >= w.slots {
 			continue
 		}
-		if c.health.quarantined(w.name, now) {
+		if c.health.Quarantined(w.name, now) {
 			if better(w, bestBad) {
 				bestBad = w
 			}
@@ -756,7 +759,7 @@ func (c *Coordinator) handleResult(w *workerConn, addr string, payload []byte, s
 		// The winner's grant latency feeds its health EWMA; a hedge grant
 		// winning is the hedge surface's success signal.
 		if g := s.leases[w]; g != nil {
-			c.health.noteLatency(w.name, float64(now.Sub(g.granted).Milliseconds()))
+			c.latency.note(w.name, float64(now.Sub(g.granted).Milliseconds()))
 			if g.reason == "hedge" {
 				c.cHedgeWins.Inc()
 			}

@@ -247,10 +247,14 @@ func TestChaosConnDropReassignment(t *testing.T) {
 	}
 	defer coord.Close()
 
-	// Worker A's first connection dies after ~1.5 frames of traffic: the
-	// handshake and at least one lease arrive, then the conn drops before
-	// a result can be written back. Reconnections are clean.
+	// Worker A's first connection dies after 600 bytes of traffic.
+	// Reconnections are clean. A parks its first lease until that conn
+	// has failed (its heartbeats spend the budget), so the drop always
+	// lands mid-lease and that result is never written back.
 	var dials atomic.Int64
+	dropped := make(chan struct{})
+	leased := make(chan struct{})
+	var first sync.Once
 	stopA := startWorker(t, ctx, dist.WorkerConfig{
 		Name: "a-flaky", Slots: 2, Addr: addr,
 		Reconnect: retry.Policy{MaxAttempts: 100, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
@@ -260,18 +264,46 @@ func TestChaosConnDropReassignment(t *testing.T) {
 				return nil, err
 			}
 			if dials.Add(1) == 1 {
-				return faults.DropConn(c, 600), nil
+				return &failNotifyConn{Conn: faults.DropConn(c, 600), failed: dropped}, nil
 			}
 			return c, nil
 		},
-	}, "sum", sumEval)
+	}, "sum", func(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
+		park := false
+		first.Do(func() { park = true; close(leased) })
+		if park {
+			select {
+			case <-dropped:
+			case <-ctx.Done():
+			}
+		}
+		return sumEval(ctx, spec, lo, hi)
+	})
 	defer stopA()
+
+	type result struct {
+		payloads [][]byte
+		err      error
+	}
+	done := make(chan result, 1)
+	go func() {
+		p, err := coord.Run(ctx, task)
+		done <- result{p, err}
+	}()
+	// B joins only once A holds a lease; otherwise B can drain every
+	// shard before A's fault trips.
+	select {
+	case <-leased:
+	case <-ctx.Done():
+		t.Fatal("worker A never held a lease")
+	}
 	stopB := startWorker(t, ctx, dist.WorkerConfig{
 		Name: "b-steady", Slots: 2, Addr: addr,
 	}, "sum", sumEval)
 	defer stopB()
 
-	got, err := coord.Run(ctx, task)
+	res := <-done
+	got, err := res.payloads, res.err
 	if err != nil {
 		t.Fatalf("run under chaos: %v", err)
 	}
@@ -283,6 +315,30 @@ func TestChaosConnDropReassignment(t *testing.T) {
 	if dials.Load() < 2 {
 		t.Fatalf("fault injection never tripped: %d dials", dials.Load())
 	}
+}
+
+// failNotifyConn closes failed on the first Read or Write error.
+type failNotifyConn struct {
+	net.Conn
+	once   sync.Once
+	failed chan struct{}
+}
+
+func (c *failNotifyConn) notify(err error) error {
+	if err != nil {
+		c.once.Do(func() { close(c.failed) })
+	}
+	return err
+}
+
+func (c *failNotifyConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	return n, c.notify(err)
+}
+
+func (c *failNotifyConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	return n, c.notify(err)
 }
 
 // TestStragglerReissue checks a shard stuck on a slow worker is

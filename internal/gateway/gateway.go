@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/serve"
+	"repro/internal/strike"
 )
 
 // DefaultLoadFactor is the bounded-load factor c: a replica may carry
@@ -32,6 +33,24 @@ const DefaultLoadFactor = 1.25
 // legitimately computing.
 const DefaultForwardTimeout = 65 * time.Second
 
+// Default strike/quarantine knobs. Three transport failures inside ten
+// seconds eject a replica; the internal/strike book escalates the ban
+// with further strikes and forgives a clean window.
+const (
+	DefaultStrikeThreshold = 3
+	DefaultStrikeWindow    = 10 * time.Second
+)
+
+// fillTimeout bounds one cache-fill probe. A fill is an optimization:
+// when the home is slow the gateway stops waiting and forwards, so the
+// budget stays well under any compute time worth saving.
+const fillTimeout = 250 * time.Millisecond
+
+// maxFillBytes caps a cache-fill body. Responses are bounded by the
+// serving caps (grids, ensembles), so anything larger is a confused or
+// hostile replica, not a result.
+const maxFillBytes = 16 << 20
+
 const maxBodyBytes = 1 << 20
 
 // Config configures a Gateway. Zero values take the defaults noted on
@@ -47,22 +66,15 @@ type Config struct {
 	// DefaultLoadFactor; values <= 1 are clamped to 1, meaning "spill as
 	// soon as the home exceeds an equal share").
 	LoadFactor float64
-	// FillProbe enables the cross-replica cache-fill short-circuit: when
-	// a request spills away from its home, the gateway first probes the
-	// home's GET /v1/cache/<key> and serves a hit directly — the home's
-	// cached bytes beat a recompute on the spill target (default on;
-	// set FillProbeOff to disable).
-	FillProbeOff bool
-	// FillTimeout bounds one cache-fill probe (default
-	// serve.DefaultFillTimeout).
-	FillTimeout time.Duration
 	// ForwardTimeout bounds one proxied query/batch exchange (default
 	// DefaultForwardTimeout). Streams are bounded by the client, not the
 	// gateway.
 	ForwardTimeout time.Duration
-	// StrikeThreshold and StrikeWindow tune the replica quarantine book
+	// StrikeThreshold and StrikeWindow tune the replica strike book
 	// (defaults DefaultStrikeThreshold / DefaultStrikeWindow; negative
-	// threshold disables ejection).
+	// threshold disables ejection). A strike is a transport failure or
+	// a truncated sub-batch; replica statuses (400/429/504) never
+	// strike.
 	StrikeThreshold int
 	StrikeWindow    time.Duration
 	// Registry receives gateway.* metrics (nil disables export).
@@ -92,7 +104,7 @@ type Gateway struct {
 	mu       sync.Mutex
 	inflight []int
 	total    int
-	book     *replicaBook
+	book     *strike.Book[int] // keyed by replica index
 
 	requests, batchRequests, batchItemsC *obs.Counter
 	spills, fills, fillMisses            *obs.Counter
@@ -117,8 +129,11 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ForwardTimeout <= 0 {
 		cfg.ForwardTimeout = DefaultForwardTimeout
 	}
-	if cfg.FillTimeout <= 0 {
-		cfg.FillTimeout = serve.DefaultFillTimeout
+	if cfg.StrikeThreshold == 0 {
+		cfg.StrikeThreshold = DefaultStrikeThreshold
+	}
+	if cfg.StrikeWindow <= 0 {
+		cfg.StrikeWindow = DefaultStrikeWindow
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -130,7 +145,7 @@ func New(cfg Config) (*Gateway, error) {
 		tracer:   cfg.Tracer,
 		mux:      http.NewServeMux(),
 		inflight: make([]int, len(cfg.Replicas)),
-		book:     newReplicaBook(len(cfg.Replicas), cfg.StrikeThreshold, cfg.StrikeWindow),
+		book:     strike.New[int](cfg.StrikeThreshold, cfg.StrikeWindow),
 
 		requests: &obs.Counter{}, batchRequests: &obs.Counter{}, batchItemsC: &obs.Counter{},
 		spills: &obs.Counter{}, fills: &obs.Counter{}, fillMisses: &obs.Counter{},
@@ -189,7 +204,7 @@ func (g *Gateway) route(key string) (target, home int, spilled bool, release fun
 	healthy := make([]int, 0, len(order))
 	quarantined := 0
 	for _, i := range order {
-		if g.book.quarantined(i, now) {
+		if g.book.Quarantined(i, now) {
 			quarantined++
 			continue
 		}
@@ -198,8 +213,8 @@ func (g *Gateway) route(key string) (target, home int, spilled bool, release fun
 	g.quarGauge.Set(float64(quarantined))
 	if len(healthy) == 0 {
 		// Whole tier ejected: degrade to the least-banned replica rather
-		// than failing fast — the healthBook contract.
-		healthy = []int{g.book.leastBanned()}
+		// than failing fast.
+		healthy = []int{g.leastBannedLocked()}
 	}
 	home = healthy[0]
 	// Bounded load: ceil(c·(total+1)/healthy) concurrent exchanges per
@@ -230,7 +245,7 @@ func (g *Gateway) strikeReplica(i int, err error) {
 	g.replicaErrors.Inc()
 	g.strikes.Inc()
 	g.mu.Lock()
-	ejected := g.book.strike(i, g.cfg.now())
+	ejected := g.book.Strike(i, g.cfg.now())
 	g.mu.Unlock()
 	if ejected {
 		g.logger.Warn("replica quarantined", "replica", g.cfg.Replicas[i], "err", err)
@@ -326,17 +341,15 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// The home replica probably holds this key's bytes — its cache is
 		// why the key was homed there. Serving the home's cached bytes
 		// beats recomputing on the spill target.
-		if !g.cfg.FillProbeOff {
-			if cached, ok := g.probeCache(tctx, home, key); ok {
-				g.fills.Inc()
-				w.Header().Set("X-Cache", "fill")
-				w.Header().Set("X-Replica", g.cfg.Replicas[home])
-				w.Header().Set("X-Route", "fill")
-				g.writeBody(w, http.StatusOK, cached)
-				return
-			}
-			g.fillMisses.Inc()
+		if cached, ok := g.probeCache(tctx, home, key); ok {
+			g.fills.Inc()
+			w.Header().Set("X-Cache", "fill")
+			w.Header().Set("X-Replica", g.cfg.Replicas[home])
+			w.Header().Set("X-Route", "fill")
+			g.writeBody(w, http.StatusOK, cached)
+			return
 		}
+		g.fillMisses.Inc()
 	}
 
 	// Forward, retrying transport failures on the ring-walk successors:
@@ -396,14 +409,16 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // probeCache asks replica i's cache endpoint for key, bounded by
-// FillTimeout.
+// fillTimeout. The body is trusted only if it is at most maxFillBytes
+// and embeds its own content address: an envelope that does not claim
+// this key is not this key's result.
 func (g *Gateway) probeCache(tctx context.Context, i int, key string) ([]byte, bool) {
 	fctx, sp := trace.Start(tctx, "fill")
 	defer sp.End()
 	if sp != nil {
 		sp.Annotate("replica", g.cfg.Replicas[i])
 	}
-	ctx, cancel := context.WithTimeout(fctx, g.cfg.FillTimeout)
+	ctx, cancel := context.WithTimeout(fctx, fillTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.cfg.Replicas[i]+"/v1/cache/"+key, nil)
 	if err != nil {
@@ -420,9 +435,13 @@ func (g *Gateway) probeCache(tctx context.Context, i int, key string) ([]byte, b
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, false
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxFillBytes+1))
 	if err != nil {
 		sp.Annotate("outcome", "error")
+		return nil, false
+	}
+	if len(body) > maxFillBytes || !bytes.Contains(body, []byte(`"key":"`+key+`"`)) {
+		sp.Annotate("outcome", "rejected")
 		return nil, false
 	}
 	sp.Annotate("outcome", "hit")
@@ -630,11 +649,23 @@ func (g *Gateway) homeFor(key string, now time.Time) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, i := range g.ring.Walk(key) {
-		if !g.book.quarantined(i, now) {
+		if !g.book.Quarantined(i, now) {
 			return i
 		}
 	}
-	return g.book.leastBanned()
+	return g.leastBannedLocked()
+}
+
+// leastBannedLocked returns the replica whose quarantine expires
+// soonest — the full-outage fallback target.
+func (g *Gateway) leastBannedLocked() int {
+	best := 0
+	for i := 1; i < len(g.cfg.Replicas); i++ {
+		if g.book.Until(i).Before(g.book.Until(best)) {
+			best = i
+		}
+	}
+	return best
 }
 
 // forwardSubBatch sends one replica its share of a batch and returns
@@ -742,11 +773,11 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	states := make([]replicaState, len(g.cfg.Replicas))
 	healthy := 0
 	for i, u := range g.cfg.Replicas {
-		q := g.book.quarantined(i, now)
+		q := g.book.Quarantined(i, now)
 		if !q {
 			healthy++
 		}
-		states[i] = replicaState{URL: u, Inflight: g.inflight[i], Strikes: g.book.strikeCount(i), Quarantined: q}
+		states[i] = replicaState{URL: u, Inflight: g.inflight[i], Strikes: g.book.Strikes(i), Quarantined: q}
 	}
 	total := g.total
 	g.mu.Unlock()

@@ -247,11 +247,12 @@ func TestGatewayBatchFanoutMatchesDirectBytes(t *testing.T) {
 	}
 }
 
-// TestGatewaySpillFillsFromHomeCache exercises the bounded-load spill +
-// cache-fill short-circuit: with the home replica saturated by in-flight
-// requests, the next request for a key it has cached is answered from
-// the home's cache bytes — not recomputed on the spill target.
-func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
+// spillPastHome saturates the home replica of qBody's key with two
+// in-flight requests, then sends a third through the gateway, which
+// must spill. The home answers the gateway's cache-fill probe with
+// peek; the spill target answers every query with spillBody.
+func spillPastHome(t *testing.T, peek func(w http.ResponseWriter, key string)) (*http.Response, []byte, *obs.Registry) {
+	t.Helper()
 	req := &serve.Request{}
 	if err := json.Unmarshal([]byte(qBody), req); err != nil {
 		t.Fatal(err)
@@ -260,7 +261,6 @@ func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := req.Key()
-	cached := `{"key":"` + key + `","cached":"bytes"}` + "\n"
 
 	release := make(chan struct{})
 	var started sync.WaitGroup
@@ -271,16 +271,14 @@ func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
 				http.NotFound(w, r)
 				return
 			}
-			w.Header().Set("X-Cache", "hit")
-			_, _ = io.WriteString(w, cached)
+			peek(w, key)
 			return
 		}
 		started.Done()
 		<-release
-		_, _ = io.WriteString(w, cached)
 	})
 	spillHandler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.WriteString(w, `{"recomputed":"on spill target"}`+"\n")
+		_, _ = io.WriteString(w, spillBody)
 	})
 
 	// Ring ownership follows the URL hashes (ephemeral test ports), so
@@ -288,10 +286,9 @@ func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
 	// whichever server owns the key plays the saturated home.
 	var h1, h2 http.Handler
 	s1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { h1.ServeHTTP(w, r) }))
-	defer s1.Close()
+	t.Cleanup(s1.Close)
 	s2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { h2.ServeHTTP(w, r) }))
-	defer s2.Close()
-	defer close(release)
+	t.Cleanup(s2.Close)
 	replicas := []string{s1.URL, s2.URL}
 	ring, err := NewRing(replicas, 0)
 	if err != nil {
@@ -303,15 +300,34 @@ func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
 		h1, h2 = spillHandler, homeHandler
 	}
 	_, gw, reg := newGateway(t, Config{Replicas: replicas, LoadFactor: 1})
+	// Registered last so it runs first: the servers' Close waits for
+	// the two parked requests.
+	t.Cleanup(func() { close(release) })
 
-	// Saturate the home with two in-flight requests for the same key.
 	for i := 0; i < 2; i++ {
 		go func() { _, _ = http.Post(gw+"/v1/query", "application/json", strings.NewReader(qBody)) }()
 	}
 	started.Wait()
-
-	// The third request must spill — and be served from the home's cache.
 	resp, body := post(t, gw, "/v1/query", qBody)
+	if snap := reg.Snapshot(); snap.Counters["gateway.spills"] < 1 {
+		t.Error("gateway.spills not incremented")
+	}
+	return resp, body, reg
+}
+
+const spillBody = `{"recomputed":"on spill target"}` + "\n"
+
+// TestGatewaySpillFillsFromHomeCache exercises the bounded-load spill +
+// cache-fill short-circuit: with the home replica saturated by in-flight
+// requests, the next request for a key it has cached is answered from
+// the home's cache bytes — not recomputed on the spill target.
+func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
+	var cached string
+	resp, body, reg := spillPastHome(t, func(w http.ResponseWriter, key string) {
+		cached = `{"key":"` + key + `","cached":"bytes"}` + "\n"
+		w.Header().Set("X-Cache", "hit")
+		_, _ = io.WriteString(w, cached)
+	})
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -321,12 +337,37 @@ func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
 	if string(body) != cached {
 		t.Errorf("spilled request returned %q, want the home's cached bytes", body)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["gateway.spills"] < 1 {
-		t.Error("gateway.spills not incremented")
+	if n := reg.Snapshot().Counters["gateway.fill.hits"]; n != 1 {
+		t.Errorf("gateway.fill.hits = %d, want 1", n)
 	}
-	if snap.Counters["gateway.fill.hits"] != 1 {
-		t.Errorf("gateway.fill.hits = %d, want 1", snap.Counters["gateway.fill.hits"])
+}
+
+// TestGatewayFillRejectsUntrustedBody: a cache-fill body that does not
+// embed the requested key, or exceeds maxFillBytes, is not served; the
+// spilled request is forwarded to the spill target as usual.
+func TestGatewayFillRejectsUntrustedBody(t *testing.T) {
+	for name, peek := range map[string]func(w http.ResponseWriter, key string){
+		"wrong key": func(w http.ResponseWriter, _ string) {
+			_, _ = io.WriteString(w, `{"key":"`+strings.Repeat("0", 64)+`","cached":"bytes"}`+"\n")
+		},
+		"oversize": func(w http.ResponseWriter, key string) {
+			_, _ = io.WriteString(w, `{"key":"`+key+`","pad":"`+strings.Repeat("a", maxFillBytes)+`"}`+"\n")
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			resp, body, reg := spillPastHome(t, peek)
+			if resp.StatusCode != 200 || string(body) != spillBody {
+				t.Fatalf("status %d body %.80q, want the spill target's answer", resp.StatusCode, body)
+			}
+			if got := resp.Header.Get("X-Route"); got == "fill" {
+				t.Errorf("X-Route = %q, want a forward", got)
+			}
+			snap := reg.Snapshot()
+			if snap.Counters["gateway.fill.misses"] != 1 || snap.Counters["gateway.fill.hits"] != 0 {
+				t.Errorf("fill hits/misses = %d/%d, want 0/1",
+					snap.Counters["gateway.fill.hits"], snap.Counters["gateway.fill.misses"])
+			}
+		})
 	}
 }
 
@@ -359,7 +400,7 @@ func TestGatewayStrikesAndQuarantine(t *testing.T) {
 		}
 	}
 	g.mu.Lock()
-	quarantined := g.book.quarantined(0, now)
+	quarantined := g.book.Quarantined(0, now)
 	g.mu.Unlock()
 	if !quarantined {
 		t.Error("dead replica not quarantined after repeated transport failures")

@@ -177,7 +177,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Resolve unique keys concurrently. The admission gate still bounds
-	// actual compute; cache hits and peer fills cost no slot.
+	// actual compute; cache hits cost no slot.
 	type outcome struct {
 		body []byte
 		src  string
