@@ -92,24 +92,24 @@ type EnsembleStats struct {
 
 // RunPartial is one trajectory's contribution to the ensemble curves:
 // the additive state folded — in run-index order — into EnsembleStats.
-// It is exported (with JSON tags) so distributed workers can compute
-// partials remotely and ship them back for the identical merge; Go's
-// encoding/json round-trips float64 exactly (shortest representation),
-// so a partial that crosses a wire merges bit-identically to one that
-// never left the process.
+// It is exported so distributed workers can compute partials remotely
+// and ship them back for the identical merge. AppendPartials and
+// DecodePartials carry floats as their IEEE-754 bits, so a partial that
+// crosses a wire merges bit-identically to one that never left the
+// process.
 type RunPartial struct {
 	// PotSum[b] sums potential-set sizes over steps spent at b pieces.
-	PotSum []float64 `json:"potSum"`
+	PotSum []float64
 	// PotCnt[b] counts steps spent holding exactly b pieces.
-	PotCnt []int32 `json:"potCnt"`
+	PotCnt []int32
 	// First[b] is the first step holding >= b pieces, -1 if never.
-	First []int32 `json:"first"`
+	First []int32
 	// Steps is the trajectory length in transition steps.
-	Steps int `json:"steps"`
+	Steps int
 	// Done reports completion (B pieces before the step cap).
-	Done bool `json:"done"`
+	Done bool
 	// Phases is the trajectory's phase breakdown.
-	Phases PhaseBreakdown `json:"phases"`
+	Phases PhaseBreakdown
 }
 
 // Ensemble samples runs independent trajectories and aggregates them.

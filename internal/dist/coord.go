@@ -1002,7 +1002,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 				c.handleHeartbeat(w, f.Addr)
 			case TypeResult:
 				c.hRemoteEval.Observe(float64(f.EvalMs))
-				c.handleResult(w, f.Addr, append([]byte(nil), f.Payload...), f.Spans)
+				c.handleResult(w, f.Addr, f.Payload, f.Spans)
 			case TypeNack:
 				c.handleNack(w, f.Addr, f.Err)
 			case TypeGoodbye:

@@ -398,8 +398,10 @@ func TestStragglerReissue(t *testing.T) {
 	}
 }
 
-// TestHelloVersionMismatch speaks a future protocol version at the
-// coordinator and expects a nack naming both versions.
+// TestHelloVersionMismatch speaks an older (v1, payloads inside the
+// JSON header) and a future protocol version at the coordinator and
+// expects a nack naming both versions each time. A v1 hello has no
+// payload, so its bytes are exactly what WriteFrame produces for it.
 func TestHelloVersionMismatch(t *testing.T) {
 	coord := dist.New(dist.Config{})
 	addr, err := coord.Listen("127.0.0.1:0")
@@ -407,20 +409,23 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer coord.Close()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	if err := dist.WriteFrame(conn, &dist.Frame{T: dist.TypeHello, V: dist.ProtocolVersion + 41}); err != nil {
-		t.Fatalf("write hello: %v", err)
-	}
-	reply, err := dist.ReadFrame(conn)
-	if err != nil {
-		t.Fatalf("read reply: %v", err)
-	}
-	if reply.T != dist.TypeNack || !strings.Contains(reply.Err, "version") {
-		t.Fatalf("reply = %+v, want version nack", reply)
+	for _, v := range []int{1, dist.ProtocolVersion + 41} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		if err := dist.WriteFrame(conn, &dist.Frame{T: dist.TypeHello, V: v, Worker: "old"}); err != nil {
+			t.Fatalf("v%d: write hello: %v", v, err)
+		}
+		reply, err := dist.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("v%d: read reply: %v", v, err)
+		}
+		if reply.T != dist.TypeNack || !strings.Contains(reply.Err, fmt.Sprintf("version %d", v)) ||
+			!strings.Contains(reply.Err, fmt.Sprintf("v%d", dist.ProtocolVersion)) {
+			t.Fatalf("v%d: reply = %+v, want version nack naming both versions", v, reply)
+		}
 	}
 }
 

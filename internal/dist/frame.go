@@ -23,11 +23,14 @@
 // are counted and dropped, never merged twice. That turns fault recovery
 // into re-execution with zero correctness cost.
 //
-// Transport is a versioned, length-prefixed JSONL protocol over TCP:
-// each frame is a 4-byte big-endian length followed by one JSON object
-// and a trailing newline (human-greppable in captures). Frames are
-// hello (handshake, version + slots), lease (coordinator grants a
-// shard), heartbeat (worker liveness per shard), result (payload), nack
+// Transport is a versioned, length-prefixed protocol over TCP: each
+// frame is a 4-byte big-endian body length, then a body made of one
+// JSON header line (human-greppable in captures) and an optional raw
+// payload tail whose length and CRC-32C the header carries as "n" and
+// "crc". Payloads are opaque bytes — binary run partials, JSON response
+// bodies — and are never parsed by the transport. Frames are hello
+// (handshake, version + slots), lease (coordinator grants a shard),
+// heartbeat (worker liveness per shard), result (payload), nack
 // (worker-side failure), and goodbye (worker drain announcement: no new
 // leases, in-flight shards will finish).
 package dist
@@ -38,21 +41,30 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"net"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
 
 // ProtocolVersion is the wire-protocol version exchanged in hello
-// frames; both sides must speak the same version.
-const ProtocolVersion = 1
+// frames; both sides must speak the same version. Version 2 moved
+// payloads out of the JSON header into the raw body tail, so a version 1
+// peer is refused at hello rather than misreading frames.
+const ProtocolVersion = 2
 
-// MaxFrameBytes bounds a single frame body. The largest legitimate
-// frames are shard result payloads (serialized run partials), which stay
-// well under a few MiB; anything larger is a corrupt or hostile length
-// prefix and is rejected before allocation grows past the cap.
+// MaxFrameBytes bounds a single frame body, header and payload tail
+// together. The largest legitimate frames are shard result payloads
+// (serialized run partials), which stay well under a few MiB; anything
+// larger is a corrupt or hostile length prefix and is rejected before
+// allocation grows past the cap.
 const MaxFrameBytes = 16 << 20
+
+// castagnoli is the CRC-32C table for payload checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrFrameTooLarge reports a length prefix beyond MaxFrameBytes.
 var ErrFrameTooLarge = errors.New("dist: frame exceeds size limit")
@@ -106,8 +118,15 @@ type Frame struct {
 	Lease *Lease `json:"lease,omitempty"`
 	// Shard address for heartbeat/result/nack.
 	Addr string `json:"addr,omitempty"`
-	// Result payload (opaque to the protocol).
-	Payload json.RawMessage `json:"payload,omitempty"`
+	// Result payload (opaque to the protocol). It travels as the raw
+	// body tail after the JSON header, never inside it.
+	Payload []byte `json:"-"`
+	// N and CRC are the payload tail's length in bytes and its CRC-32C.
+	// WriteFrame sets both from Payload; ReadFrame rejects a frame whose
+	// tail disagrees with either, so a corrupted binary payload fails
+	// the frame instead of merging silently.
+	N   int    `json:"n,omitempty"`
+	CRC uint32 `json:"crc,omitempty"`
 	// EvalMs is the worker-reported evaluation time for a result frame,
 	// in milliseconds. obs.F64 keeps the frame valid JSON even if a
 	// worker clock produces a non-finite value.
@@ -140,29 +159,33 @@ type Lease struct {
 	ParentSpanID string `json:"parentSpan,omitempty"`
 }
 
-// WriteFrame encodes f as one length-prefixed JSONL frame on w.
+// WriteFrame encodes f as one length-prefixed frame on w: the JSON
+// header line, then Payload as the raw tail.
 func WriteFrame(w io.Writer, f *Frame) error {
-	body, err := json.Marshal(f)
+	hdr := *f
+	hdr.Payload, hdr.N, hdr.CRC = nil, len(f.Payload), crc32.Checksum(f.Payload, castagnoli)
+	head, err := json.Marshal(&hdr)
 	if err != nil {
 		return fmt.Errorf("dist: encode frame: %w", err)
 	}
-	body = append(body, '\n')
-	if len(body) > MaxFrameBytes {
-		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, len(body))
+	size := len(head) + 1 + len(f.Payload)
+	if size > MaxFrameBytes {
+		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, size)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	buf := make([]byte, 4, 4+len(head)+1)
+	binary.BigEndian.PutUint32(buf, uint32(size))
+	buf = append(append(buf, head...), '\n')
+	// One writev on a TCP conn; the payload is never copied.
+	bufs := net.Buffers{buf, f.Payload}
+	_, err = bufs.WriteTo(w)
 	return err
 }
 
 // ReadFrame decodes one frame from r. Truncated streams, zero or
-// oversized length prefixes, and non-JSON bodies all error cleanly; the
-// body buffer grows only as bytes actually arrive, so a hostile length
-// prefix cannot force a large allocation.
+// oversized length prefixes, non-JSON headers and tails whose length or
+// checksum disagrees with the header's "n" or "crc" all error cleanly;
+// the body buffer grows only as bytes actually arrive, so a hostile
+// length prefix cannot force a large allocation.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -178,19 +201,51 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	// Copy through a growing buffer instead of allocating n upfront:
-	// a lying length prefix on a short stream costs only the bytes that
-	// actually arrived.
-	var body bytes.Buffer
-	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
-		return nil, fmt.Errorf("%w: truncated body (%d of %d bytes): %v", ErrBadFrame, body.Len(), n, err)
+	b, err := readBody(r, int(n))
+	if err != nil {
+		return nil, fmt.Errorf("%w: truncated body (%d of %d bytes): %v", ErrBadFrame, len(b), n, err)
+	}
+	// json.Marshal never emits a raw newline, so the first one ends the
+	// header.
+	end := bytes.IndexByte(b, '\n')
+	if end < 0 {
+		return nil, fmt.Errorf("%w: header line not terminated", ErrBadFrame)
 	}
 	f := &Frame{}
-	if err := json.Unmarshal(body.Bytes(), f); err != nil {
+	if err := json.Unmarshal(b[:end], f); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	if f.T == "" {
 		return nil, fmt.Errorf("%w: missing frame type", ErrBadFrame)
 	}
+	tail := b[end+1:]
+	if f.N != len(tail) {
+		return nil, fmt.Errorf("%w: header says %d payload bytes, tail has %d", ErrBadFrame, f.N, len(tail))
+	}
+	if sum := crc32.Checksum(tail, castagnoli); f.CRC != sum {
+		return nil, fmt.Errorf("%w: payload crc %08x, header says %08x", ErrBadFrame, sum, f.CRC)
+	}
+	if len(tail) > 0 {
+		f.Payload = tail
+	}
 	return f, nil
+}
+
+// readBody reads exactly n bytes from r. It allocates as bytes arrive —
+// 64 KiB first, then doubling up to n — instead of trusting n upfront,
+// so a lying length prefix on a short stream costs only about twice the
+// bytes that actually arrived.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, 0, min(n, 64<<10))
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), cap(b)))
+		}
+		m, err := io.ReadFull(r, b[len(b):min(cap(b), n)])
+		b = b[:len(b)+m]
+		if err != nil {
+			return b, err
+		}
+	}
+	return b, nil
 }

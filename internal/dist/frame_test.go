@@ -15,7 +15,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		{T: TypeHello, V: ProtocolVersion, Worker: "w1", Slots: 4, Nonce: 0xDEADBEEF},
 		{T: TypeLease, Lease: &Lease{Addr: "abc", Kind: "model", Spec: json.RawMessage(`{"b":40}`), Lo: 3, Hi: 9, TTLMs: 1500}},
 		{T: TypeHeartbeat, Addr: "abc"},
-		{T: TypeResult, Addr: "abc", Payload: json.RawMessage(`[1,2,3]`), EvalMs: 12},
+		{T: TypeResult, Addr: "abc", Payload: []byte(`[1,2,3]`), EvalMs: 12},
+		{T: TypeResult, Addr: "bin", Payload: []byte{0, '\n', 0xff, '{', '"'}},
 		{T: TypeNack, Addr: "abc", Err: "boom"},
 		{T: TypeGoodbye, Worker: "w1"},
 	}
@@ -30,6 +31,16 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read %q: %v", want.T, err)
 		}
+		// Payload travels outside the JSON header, so compare it
+		// separately; N and CRC are the wire-side fields WriteFrame
+		// filled in.
+		if !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("round trip %q payload:\n got %q\nwant %q", want.T, got.Payload, want.Payload)
+		}
+		if got.N != len(want.Payload) {
+			t.Fatalf("round trip %q: N = %d, want %d", want.T, got.N, len(want.Payload))
+		}
+		got.N, got.CRC = 0, 0
 		gj, _ := json.Marshal(got)
 		wj, _ := json.Marshal(want)
 		if !bytes.Equal(gj, wj) {
@@ -63,6 +74,7 @@ func TestReadFrameMalformed(t *testing.T) {
 		binary.BigEndian.PutUint32(out, n)
 		return append(out, body...)
 	}
+	framed := func(body string) []byte { return prefix(uint32(len(body)), []byte(body)) }
 	cases := []struct {
 		name string
 		in   []byte
@@ -72,9 +84,17 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"short header", []byte{0, 0}, ErrBadFrame},
 		{"zero length", prefix(0, nil), ErrBadFrame},
 		{"oversized prefix", prefix(MaxFrameBytes+1, nil), ErrFrameTooLarge},
-		{"lying prefix truncated body", prefix(1 << 20, []byte(`{"t":"x"}`)), ErrBadFrame},
+		{"lying prefix truncated body", prefix(1<<20, []byte(`{"t":"x"}`)), ErrBadFrame},
 		{"junk body", prefix(4, []byte("junk")), ErrBadFrame},
 		{"valid json missing type", prefix(3, []byte("{}\n")), ErrBadFrame},
+		{"header without newline", framed(`{"t":"x"}`), ErrBadFrame},
+		{"n larger than tail", framed(`{"t":"x","n":3}` + "\nab"), ErrBadFrame},
+		{"n smaller than tail", framed(`{"t":"x","n":3}` + "\nabcd"), ErrBadFrame},
+		{"negative n", framed(`{"t":"x","n":-1}` + "\n"), ErrBadFrame},
+		{"tail without n", framed(`{"t":"x"}` + "\nab"), ErrBadFrame},
+		{"n without tail", framed(`{"t":"x","n":2}` + "\n"), ErrBadFrame},
+		{"tail without crc", framed(`{"t":"x","n":2}` + "\nab"), ErrBadFrame},
+		{"crc without tail", framed(`{"t":"x","crc":1}` + "\n"), ErrBadFrame},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,8 +106,30 @@ func TestReadFrameMalformed(t *testing.T) {
 	}
 }
 
+// TestReadFrameRejectsCorruptTail: a flipped bit anywhere in a binary
+// payload fails the frame (the header's crc), where JSON syntax used to
+// catch only some corruptions of an embedded payload.
+func TestReadFrameRejectsCorruptTail(t *testing.T) {
+	var buf bytes.Buffer
+	payload := []byte{1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0xf0, 0x3f, '\n', 0}
+	if err := WriteFrame(&buf, &Frame{T: TypeResult, Addr: "a", Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	start := len(good) - len(payload)
+	for i := start; i < len(good); i++ {
+		bad := append([]byte(nil), good...)
+		bad[i] ^= 0x80
+		if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("flipped payload byte %d: err = %v, want ErrBadFrame", i-start, err)
+		}
+	}
+}
+
 func TestWriteFrameTooLarge(t *testing.T) {
-	f := &Frame{T: TypeResult, Payload: json.RawMessage(`"` + strings.Repeat("x", MaxFrameBytes) + `"`)}
+	// The cap covers header and tail together: a payload that fits on
+	// its own is still refused once the header pushes the body over.
+	f := &Frame{T: TypeResult, Payload: []byte(strings.Repeat("x", MaxFrameBytes-4))}
 	if err := WriteFrame(io.Discard, f); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -98,10 +140,13 @@ func TestWriteFrameTooLarge(t *testing.T) {
 // error, without allocating beyond the bytes actually present.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	_ = WriteFrame(&seed, &Frame{T: TypeHello, V: 1, Worker: "w", Slots: 2})
+	_ = WriteFrame(&seed, &Frame{T: TypeHello, V: ProtocolVersion, Worker: "w", Slots: 2})
 	f.Add(seed.Bytes())
 	seed.Reset()
-	_ = WriteFrame(&seed, &Frame{T: TypeResult, Addr: "a", Payload: json.RawMessage(`[1]`)})
+	_ = WriteFrame(&seed, &Frame{T: TypeResult, Addr: "a", Payload: []byte(`[1]`)})
+	f.Add(seed.Bytes())
+	seed.Reset()
+	_ = WriteFrame(&seed, &Frame{T: TypeResult, Addr: "b", Payload: []byte{1, 0, 0, 0, '\n', 0xff, 0}})
 	f.Add(seed.Bytes())
 	seed.Reset()
 	_ = WriteFrame(&seed, &Frame{T: TypeGoodbye, Worker: "w"})
@@ -122,9 +167,25 @@ func FuzzReadFrame(f *testing.F) {
 		if fr.T == "" {
 			t.Fatal("decoded frame with empty type")
 		}
-		// A decoded frame must re-encode (flush out unmarshal-only states).
-		if err := WriteFrame(io.Discard, fr); err != nil {
+		// A decoded frame must re-encode (flush out unmarshal-only
+		// states), and the re-encoding is a fixed point that carries the
+		// payload bytes through unchanged.
+		var once, twice bytes.Buffer
+		if err := WriteFrame(&once, fr); err != nil {
 			t.Fatalf("re-encode: %v", err)
+		}
+		back, err := ReadFrame(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-read: %v", err)
+		}
+		if !bytes.Equal(back.Payload, fr.Payload) {
+			t.Fatalf("payload changed across re-encode: %q -> %q", fr.Payload, back.Payload)
+		}
+		if err := WriteFrame(&twice, back); err != nil {
+			t.Fatalf("second re-encode: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoding not a fixed point:\n %q\n %q", once.Bytes(), twice.Bytes())
 		}
 	})
 }

@@ -301,8 +301,8 @@ type FigSpec struct {
 // EvalFigShard is the worker-side dist.Evaluator for figure
 // regeneration: spec is a JSON FigSpec, and the payload is the rendered
 // table text — byte-identical to a local render because every harness
-// seeds its runs by index. The text ships as a JSON string (dist frame
-// payloads must be valid JSON); DecodeFigPayload recovers the bytes.
+// seeds its runs by index. The text ships as a JSON string;
+// DecodeFigPayload checks it and recovers the bytes.
 func EvalFigShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	var fs FigSpec
 	if err := json.Unmarshal(spec, &fs); err != nil {

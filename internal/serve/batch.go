@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -201,28 +202,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
+	var line []byte // reused for every 200 line
 	sum := BatchSummary{Type: "summary", Items: len(items)}
 	for i := range slots {
+		sl := &slots[i]
 		item := BatchItem{Type: "item", Index: i}
-		switch sl := &slots[i]; {
-		case sl.err != nil:
+		if sl.err != nil {
 			item.Status = ErrorStatus(sl.err)
 			item.Error = sl.err.Error()
-		default:
-			res := results[sl.key]
+		} else if res := results[sl.key]; res.err != nil {
 			item.Key = sl.key
-			if res.err != nil {
-				item.Status = ErrorStatus(res.err)
-				item.Error = res.err.Error()
-			} else {
-				item.Status = http.StatusOK
-				item.Cache = res.src
-				item.Response = json.RawMessage(bytes.TrimSuffix(res.body, []byte("\n")))
-			}
+			item.Status = ErrorStatus(res.err)
+			item.Error = res.err.Error()
+		} else {
+			sum.OK++
+			line = appendOKItem(line[:0], i, sl.key, res.src, res.body)
+			_, _ = w.Write(line)
+			continue
 		}
 		switch item.Status {
-		case http.StatusOK:
-			sum.OK++
 		case http.StatusTooManyRequests:
 			// The per-item spelling of the 429 Retry-After header, derived
 			// from the same live-load formula.
@@ -241,4 +239,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		_ = enc.Encode(item)
 	}
 	_ = enc.Encode(sum)
+}
+
+// appendOKItem appends the JSONL line json.Encoder writes for a
+// successful BatchItem, without re-compacting the cached envelope. body
+// is a marshalBody result — json.Marshal output, already compact and
+// HTML-escaped, exactly what the encoder would make of it — and key and
+// src (a hex digest and a fixed cache word) need no escaping.
+func appendOKItem(dst []byte, index int, key, src string, body []byte) []byte {
+	dst = append(dst, `{"type":"item","index":`...)
+	dst = strconv.AppendInt(dst, int64(index), 10)
+	dst = append(dst, `,"status":200,"key":"`...)
+	dst = append(dst, key...)
+	dst = append(dst, `","cache":"`...)
+	dst = append(dst, src...)
+	dst = append(dst, `","response":`...)
+	dst = append(dst, bytes.TrimSuffix(body, []byte("\n"))...)
+	return append(dst, "}\n"...)
 }

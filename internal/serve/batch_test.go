@@ -335,3 +335,32 @@ func waitForAdmitted(t *testing.T, s *Server, n int) {
 	}
 	t.Fatalf("gate never reached %d admitted", n)
 }
+
+// TestAppendOKItemMatchesEncoder: the 200-line fast path writes exactly
+// the bytes json.Encoder writes for the same BatchItem, including bodies
+// whose strings the encoder HTML-escapes and whose floats it formats.
+func TestAppendOKItemMatchesEncoder(t *testing.T) {
+	key := (&Request{Kind: KindModel}).Key()
+	results := []any{
+		map[string]any{"note": "<a & b>", "u": "\u2028", "x": []float64{1e21, -0.0, 1.5e-7}},
+		json.RawMessage(`{"nested": [1, 2 ,3]}`),
+		"plain",
+	}
+	for i, res := range results {
+		body, err := marshalBody(&Response{V: 1, Kind: KindModel, Seed: 7, Key: key, Result: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []string{"hit", "miss", "shared"} {
+			var want bytes.Buffer
+			item := BatchItem{Type: "item", Index: 100 + i, Status: http.StatusOK, Key: key, Cache: src,
+				Response: json.RawMessage(bytes.TrimSuffix(body, []byte("\n")))}
+			if err := json.NewEncoder(&want).Encode(item); err != nil {
+				t.Fatal(err)
+			}
+			if got := appendOKItem([]byte("stale"), 100+i, key, src, body)[len("stale"):]; !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("result %d, cache %s:\n got %s\nwant %s", i, src, got, want.Bytes())
+			}
+		}
+	}
+}

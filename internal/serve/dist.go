@@ -30,11 +30,11 @@ func Evaluate(ctx context.Context, req *Request) (any, error) {
 //
 // For KindModel the units are ensemble run indices: run i draws from
 // modelRNG(seed).At(i) — the identical substream the local evaluator
-// gives it — and the payload is the JSON []core.RunPartial for the
-// range, merged coordinator-side in index order. Every other kind is a
-// single indivisible unit ([0, 1)); the payload is the JSON response
-// body, embedded verbatim in the envelope so it carries the exact bytes
-// a local evaluation would have produced.
+// gives it — and the payload is the range's []core.RunPartial in the
+// core.AppendPartials binary layout, merged coordinator-side in index
+// order. Every other kind is a single indivisible unit ([0, 1)); the
+// payload is the JSON response body, embedded verbatim in the envelope
+// so it carries the exact bytes a local evaluation would have produced.
 func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	req := &Request{}
 	if err := json.Unmarshal(spec, req); err != nil {
@@ -68,7 +68,7 @@ func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(partials)
+	return core.AppendPartials(nil, partials), nil
 }
 
 // Pool is the slice of a dist coordinator the serving layer needs;
@@ -79,12 +79,14 @@ type Pool interface {
 
 // PoolEvaluator returns a Server evaluator that delegates computation
 // to a worker pool. Model ensembles shard into shardRuns-sized index
-// ranges (DefaultShardRuns if <= 0) whose partials merge — in index
-// order, through the same core fold as the local pool — into results
-// bit-identical to local evaluation; other kinds ship as one shard and
-// the worker's response bytes are embedded verbatim. The evaluator sits
-// behind the server's existing cache, singleflight, and admission gate:
-// only admitted cache misses reach the pool.
+// ranges (DefaultShardRuns if <= 0) whose binary partials decode with
+// core.DecodePartials and merge — in index order, through the same core
+// fold as the local pool — into results bit-identical to local
+// evaluation; other kinds ship as one shard and the worker's JSON
+// response bytes are embedded verbatim (the response encoder checks
+// they are valid JSON). The evaluator sits behind the server's existing
+// cache, singleflight, and admission gate: only admitted cache misses
+// reach the pool.
 func PoolEvaluator(pool Pool, shardRuns int) func(ctx context.Context, req *Request) (any, error) {
 	if shardRuns <= 0 {
 		shardRuns = DefaultShardRuns
@@ -114,11 +116,9 @@ func PoolEvaluator(pool Pool, shardRuns int) func(ctx context.Context, req *Requ
 		}
 		partials := make([]core.RunPartial, 0, req.Model.Runs)
 		for i, p := range payloads {
-			var chunk []core.RunPartial
-			if err := json.Unmarshal(p, &chunk); err != nil {
+			if partials, err = core.DecodePartials(partials, p); err != nil {
 				return nil, fmt.Errorf("serve: pool shard %d payload: %w", i, err)
 			}
-			partials = append(partials, chunk...)
 		}
 		m, err := core.NewModel(req.Model.params())
 		if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -152,4 +153,9 @@ func TestAdvanceMatchesRun(t *testing.T) {
 	if a, b := oracleJSON(t, resA), oracleJSON(t, resB); !bytes.Equal(a, b) {
 		t.Fatal("Advance-then-Run diverged from a straight Run")
 	}
+}
+
+// hasNbr reports whether q is in p's neighbor row.
+func (ps *peerStore) hasNbr(p, q int32) bool {
+	return slices.Contains(ps.nbrRow(p), q)
 }

@@ -269,16 +269,6 @@ func (ps *peerStore) removeNbr(p, q int32) {
 	}
 }
 
-// hasNbr reports whether q is in p's neighbor row.
-func (ps *peerStore) hasNbr(p, q int32) bool {
-	for _, x := range ps.nbrRow(p) {
-		if x == q {
-			return true
-		}
-	}
-	return false
-}
-
 // insertConn inserts q into p's connection row, keeping ascending-id
 // order.
 func (ps *peerStore) insertConn(p, q int32) {

@@ -90,6 +90,12 @@ type Swarm struct {
 	connScratch []int32 // connection-row snapshots under mutation
 	degreeBuf   []int   // replication-degree tables
 
+	// topUpNeighbors' constant-time "already p or a neighbor of p" test:
+	// slot q is marked when nbrMark[q] == markGen. Each call bumps
+	// markGen, which clears every mark at once.
+	nbrMark []uint32
+	markGen uint32
+
 	// Batched-trading state: a pool of raw 64-bit draws bulk-refilled
 	// from the swarm RNG (only used with Config.BatchedTrading).
 	pool    []uint64
@@ -635,20 +641,31 @@ func (s *Swarm) topUpNeighbors(p int32) {
 	if len(s.alive) < 2 {
 		return
 	}
+	// Mark p and its neighbors so each rejection test is one load.
+	if n := ps.len(); len(s.nbrMark) < n {
+		s.nbrMark = append(s.nbrMark, make([]uint32, n-len(s.nbrMark))...)
+	}
+	if s.markGen++; s.markGen == 0 {
+		clear(s.nbrMark)
+		s.markGen = 1
+	}
+	mark, gen := s.nbrMark, s.markGen
+	mark[p] = gen
+	for _, q := range ps.nbrRow(p) {
+		mark[q] = gen
+	}
 	// Cap the sampling effort: with rejection for duplicates/full peers,
 	// a handful of tries per wanted slot suffices in practice.
 	for tries := 8 * need; tries > 0 && need > 0; tries-- {
 		q := s.alive[s.rng.IntN(len(s.alive))]
-		if q == p {
-			continue
-		}
-		if ps.hasNbr(p, q) {
+		if mark[q] == gen {
 			continue
 		}
 		if int(ps.nbrLen[q]) >= s.cfg.NeighborSet {
 			continue
 		}
 		s.link(p, q)
+		mark[q] = gen
 		need--
 	}
 }
