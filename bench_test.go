@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -182,24 +183,65 @@ func BenchmarkEfficiencySolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSwarmRound measures simulator throughput on a mid-size swarm.
-func BenchmarkSwarmRound(b *testing.B) {
+// steadyWarm rounds take the steady swarm past its start-up overshoot:
+// the population climbs to about 4.8k by round 60 and settles near 2.2k
+// by round 130.
+const steadyWarm = 150
+
+// peerCounter sums the population (the peer-rounds behind the peers/s
+// metric) and the exchanges over the observed rounds, and forwards each
+// round to next.
+type peerCounter struct {
+	peers, exchanges int
+	next             sim.Observer
+}
+
+func (c *peerCounter) ObserveRound(r sim.RoundStats) {
+	c.peers += r.Peers
+	c.exchanges += r.Exchanges
+	if c.next != nil {
+		c.next.ObserveRound(r)
+	}
+}
+
+// benchSteadyRounds times one exchange round per op on a steady trading
+// swarm with the swarm-steady shape (B=100, k=7, s=40, 4 origin seeds,
+// λ=100, about 2.2k peers): arrivals balance completions, so every op
+// does the same work whatever b.N is. The warm-up runs outside the
+// timer; peers/s counts simulated peer-rounds per second, and
+// exchanges/peer-round (about 4.5; near 0 on a quiescent swarm) shows
+// the swarm is trading.
+func benchSteadyRounds(b *testing.B, next sim.Observer) {
 	cfg := sim.DefaultConfig()
-	cfg.Pieces = 100
-	cfg.InitialPeers = 200
-	cfg.ArrivalRate = 0
-	cfg.Horizon = float64(b.N)
+	cfg.Pieces, cfg.MaxConns, cfg.NeighborSet = 100, 7, 40
+	cfg.Seeds = 4
+	cfg.ArrivalRate = 100
+	cfg.InitialPeers = 0
 	cfg.TrackPeers = 0
+	cfg.Horizon = math.MaxInt32
+	c := &peerCounter{next: next}
+	cfg.Observer = c
 	sw, err := sim.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := sw.Run(); err != nil {
+	if err := sw.Advance(steadyWarm); err != nil {
 		b.Fatal(err)
 	}
+	c.peers, c.exchanges = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if err := sw.Advance(float64(steadyWarm + i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(c.peers)/b.Elapsed().Seconds(), "peers/s")
+	b.ReportMetric(float64(c.exchanges)/float64(max(c.peers, 1)), "exchanges/peer-round")
 }
+
+// BenchmarkSwarmRound measures one round of the steady trading swarm.
+func BenchmarkSwarmRound(b *testing.B) { benchSteadyRounds(b, nil) }
 
 // BenchmarkSwarmRound_100k measures a steady-state round at 10^5 peers —
 // the million-peer-core regression gate. The workload pins the population
@@ -271,23 +313,7 @@ func BenchmarkEnsembleParallel(b *testing.B) {
 // observer attached — comparing the two shows the per-round cost of the
 // observability hook (expected: a few metric stores, no extra allocs).
 func BenchmarkSwarmRoundObserved(b *testing.B) {
-	cfg := sim.DefaultConfig()
-	cfg.Pieces = 100
-	cfg.InitialPeers = 200
-	cfg.ArrivalRate = 0
-	cfg.Horizon = float64(b.N)
-	cfg.TrackPeers = 0
-	reg := obs.NewRegistry()
-	cfg.Observer = sim.NewRegistryObserver(reg)
-	sw, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if _, err := sw.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(reg.Snapshot().Counters["sim.exchanges"])/float64(b.N), "exchanges/round")
+	benchSteadyRounds(b, sim.NewRegistryObserver(obs.NewRegistry()))
 }
 
 // BenchmarkBencodeRoundTrip measures tracker-response-sized round trips.

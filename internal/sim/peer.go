@@ -66,7 +66,7 @@ type peerStore struct {
 
 	// rare[sl*pieces+j] counts how many of slot sl's neighbors hold piece
 	// j — the rarest-first replication view, maintained incrementally on
-	// link/unlink/give instead of recomputed per candidate piece.
+	// link/detach/give instead of recomputed per candidate piece.
 	// Allocated only under the RarestFirst strategy.
 	rare []uint16
 
@@ -98,7 +98,7 @@ type peerStore struct {
 	optVer   []uint32
 	potEpoch []uint64 // potentialSize cache key
 	potVer   []uint32
-	potVal   []int32  // cached potential-set size
+	potVal   []int32 // cached potential-set size
 
 	free []int32 // free-slot stack (LIFO reuse)
 }
@@ -181,10 +181,7 @@ func (ps *peerStore) alloc(useRare bool) int32 {
 		for len(ps.rare) < need {
 			ps.rare = append(ps.rare, 0)
 		}
-		row := ps.rare[int(sl)*ps.pieces : need]
-		for i := range row {
-			row[i] = 0
-		}
+		clear(ps.rareRow(sl))
 	}
 	return sl
 }
@@ -229,6 +226,13 @@ func (ps *peerStore) freeSlot(sl int32) { ps.free = append(ps.free, sl) }
 func (ps *peerStore) pieceRow(sl int32) []uint64 {
 	base := int(sl) * ps.words
 	return ps.pieceWords[base : base+ps.words]
+}
+
+// rareRow returns the slot's rarest-first replication counts (rarest-first
+// swarms only).
+func (ps *peerStore) rareRow(sl int32) []uint16 {
+	base := int(sl) * ps.pieces
+	return ps.rare[base : base+ps.pieces]
 }
 
 // nbrRow returns the slot's live neighbor slots, sorted by partner id.
@@ -317,10 +321,23 @@ func (ps *peerStore) wants(p, q int32) bool {
 }
 
 // mutualInterest reports whether p and q each hold at least one piece the
-// other lacks (the strict tit-for-tat trade condition).
+// other lacks (the strict tit-for-tat trade condition). A peer holding no
+// piece or every piece can trade with nobody, which the popcounts decide
+// without touching the rows; otherwise both AND-NOT masks accumulate in
+// one branch-free pass.
 func (ps *peerStore) mutualInterest(p, q int32) bool {
+	cp, cq := int(ps.pieceCnt[p]), int(ps.pieceCnt[q])
+	if cp == 0 || cq == 0 || cp == ps.pieces || cq == ps.pieces {
+		return false
+	}
 	pw, qw := ps.pieceRow(p), ps.pieceRow(q)
-	return bitset.RowAnyAndNot(qw, pw) && bitset.RowAnyAndNot(pw, qw)
+	qw = qw[:len(pw)]
+	var pOnly, qOnly uint64
+	for i, w := range pw {
+		pOnly |= w &^ qw[i]
+		qOnly |= qw[i] &^ w
+	}
+	return pOnly != 0 && qOnly != 0
 }
 
 // memBytes estimates the store's resident footprint from the capacities

@@ -86,7 +86,6 @@ type Swarm struct {
 	leecherBuf  []int32
 	unchokeBuf  []int32
 	candBuf     []int32
-	nbrScratch  []int32 // neighbor-row snapshots under mutation
 	connScratch []int32 // connection-row snapshots under mutation
 	degreeBuf   []int   // replication-degree tables
 
@@ -233,8 +232,9 @@ func (s *Swarm) give(sl int32, j int, now float64) {
 	ps.acqLen[sl]++
 	s.epoch++
 	if s.useRare {
+		rare, stride := ps.rare, ps.pieces
 		for _, nb := range ps.nbrRow(sl) {
-			ps.rare[int(nb)*ps.pieces+j]++
+			rare[int(nb)*stride+j]++
 		}
 	}
 }
@@ -242,16 +242,15 @@ func (s *Swarm) give(sl int32, j int, now float64) {
 // rareShift adds (inc) or removes (dec) src's whole piece inventory from
 // dst's rarest-first replication table.
 func (s *Swarm) rareShift(dst, src int32, inc bool) {
-	ps := &s.ps
-	base := int(dst) * ps.pieces
-	for wi, w := range ps.pieceRow(src) {
+	rare := s.ps.rareRow(dst)
+	for wi, w := range s.ps.pieceRow(src) {
 		for w != 0 {
-			b := bits.TrailingZeros64(w)
+			j := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			if inc {
-				ps.rare[base+wi<<6+b]++
+				rare[j]++
 			} else {
-				ps.rare[base+wi<<6+b]--
+				rare[j]--
 			}
 		}
 	}
@@ -267,22 +266,6 @@ func (s *Swarm) link(p, q int32) {
 	if s.useRare {
 		s.rareShift(p, q, true)
 		s.rareShift(q, p, true)
-	}
-}
-
-// unlink removes the symmetric neighbor relation and any connection
-// between p and q.
-func (s *Swarm) unlink(p, q int32) {
-	ps := &s.ps
-	ps.removeNbr(p, q)
-	ps.removeNbr(q, p)
-	ps.removeConn(p, q)
-	ps.removeConn(q, p)
-	ps.nbrVer[p]++
-	ps.nbrVer[q]++
-	if s.useRare {
-		s.rareShift(p, q, false)
-		s.rareShift(q, p, false)
 	}
 }
 
@@ -574,13 +557,45 @@ func (s *Swarm) expireLingerers() {
 // readable until the next alloc); crashes keep their slot reserved for
 // the rejoin.
 func (s *Swarm) removePeer(sl int32, freeSlot bool) {
-	s.nbrScratch = append(s.nbrScratch[:0], s.ps.nbrRow(sl)...)
-	for _, q := range s.nbrScratch {
-		s.unlink(sl, q)
-	}
+	s.detach(sl)
 	s.aliveRemove(sl)
 	if freeSlot {
 		s.ps.freeSlot(sl)
+	}
+}
+
+// detach unlinks sl from every neighbor in one pass. It leaves the state
+// a per-neighbor unlink loop would: each partner loses sl from its
+// neighbor and connection rows, bumps its version, and drops sl's pieces
+// from its rare row — a whole-row decrement when sl holds every piece,
+// the common case of a departing leecher or seed. sl's own rows are then
+// reset directly: connections are a subset of neighbors, its version
+// moves by its degree, and its rare row, which counted exactly its
+// neighbors' pieces, is zero after a full unlink.
+func (s *Swarm) detach(sl int32) {
+	ps := &s.ps
+	nbrs := ps.nbrRow(sl)
+	full := int(ps.pieceCnt[sl]) == ps.pieces
+	for _, q := range nbrs {
+		ps.removeNbr(q, sl)
+		ps.removeConn(q, sl)
+		ps.nbrVer[q]++
+		if !s.useRare {
+			continue
+		}
+		if full {
+			row := ps.rareRow(q)
+			for j := range row {
+				row[j]--
+			}
+		} else {
+			s.rareShift(q, sl, false)
+		}
+	}
+	ps.nbrVer[sl] += uint32(len(nbrs))
+	ps.nbrLen[sl], ps.connLen[sl] = 0, 0
+	if s.useRare {
+		clear(ps.rareRow(sl))
 	}
 }
 
@@ -618,10 +633,7 @@ func (s *Swarm) completionFrac(p int32) float64 {
 // shake drops the entire neighbor set and requests a fresh random one from
 // the tracker (Section 7.1).
 func (s *Swarm) shake(p int32) {
-	s.nbrScratch = append(s.nbrScratch[:0], s.ps.nbrRow(p)...)
-	for _, q := range s.nbrScratch {
-		s.unlink(p, q)
-	}
+	s.detach(p)
 	s.topUpNeighbors(p)
 	s.ps.shaken[p] = true
 	s.res.shakes++
@@ -861,24 +873,27 @@ func (s *Swarm) pickPiece(src, dst int32) int {
 		return bitset.RowSelectAndNot(srow, drow, s.intN(n))
 	}
 	// Rarest-first within dst's neighbor view, with a random rotation
-	// origin as the tie-break — equivalent to scanning the candidate list
-	// rotated by offset and keeping the first strict minimum.
+	// origin as the tie-break: the first strict minimum of the candidate
+	// list rotated by offset. In rotated order the candidates at or after
+	// the offset come first, so the winner is the first strict minimum
+	// among those unless a candidate before the offset is strictly rarer.
+	// The key count<<1 | before folds both rules into one strict-min scan:
+	// the later group wins ties, and within a group the first minimum.
 	offset := s.intN(n)
-	base := int(dst) * ps.pieces
-	best, bestCount, bestPrio := -1, math.MaxInt, math.MaxInt
+	rare := ps.rareRow(dst)
+	best, bestKey := -1, math.MaxInt
 	k := 0
 	for wi, w := range srow {
 		diff := w &^ drow[wi]
 		for diff != 0 {
-			b := bits.TrailingZeros64(diff)
+			j := wi<<6 + bits.TrailingZeros64(diff)
 			diff &= diff - 1
-			c := int(ps.rare[base+wi<<6+b])
-			prio := k - offset
-			if prio < 0 {
-				prio += n
+			key := int(rare[j]) << 1
+			if k < offset {
+				key |= 1
 			}
-			if c < bestCount || (c == bestCount && prio < bestPrio) {
-				best, bestCount, bestPrio = wi<<6+b, c, prio
+			if key < bestKey {
+				best, bestKey = j, key
 			}
 			k++
 		}

@@ -31,14 +31,23 @@
 package stats
 
 import (
+	"math/bits"
 	"math/rand/v2"
 )
 
 // RNG is a deterministic random-number stream. Streams are cheap to create
 // and may be split into independent child streams, which lets concurrent
 // simulation entities draw random numbers without sharing state.
+//
+// The per-draw methods (IntN, Uint64, Float64, Bernoulli, Shuffle) run
+// math/rand/v2's algorithms directly against the concrete PCG, so a draw
+// costs no interface dispatch; the stream is draw-for-draw identical to
+// rand.New(rand.NewPCG(s1, s2)), which rng_test.go pins. NormFloat64 and
+// Perm go through a rand.Rand wrapping the same PCG, so every method
+// advances one shared state.
 type RNG struct {
-	src *rand.Rand
+	pcg *rand.PCG
+	rnd *rand.Rand // over pcg
 	// seeds retained so the stream can be split deterministically.
 	s1, s2  uint64
 	nsplits uint64
@@ -47,11 +56,8 @@ type RNG struct {
 // NewRNG returns a stream seeded with the pair (s1, s2). Equal seed pairs
 // yield identical streams.
 func NewRNG(s1, s2 uint64) *RNG {
-	return &RNG{
-		src: rand.New(rand.NewPCG(s1, s2)),
-		s1:  s1,
-		s2:  s2,
-	}
+	pcg := rand.NewPCG(s1, s2)
+	return &RNG{pcg: pcg, rnd: rand.New(pcg), s1: s1, s2: s2}
 }
 
 // Split derives a child stream that is statistically independent of the
@@ -92,23 +98,55 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
+// Float64 returns a uniform value in [0, 1): one of the 2^53 evenly
+// spaced float64s, as rand.Rand.Float64 computes it.
+func (r *RNG) Float64() float64 { return float64(r.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
+func (r *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("stats: RNG.IntN requires n > 0")
+	}
+	return int(r.uint64n(uint64(n)))
+}
+
+// uint64n is rand.Rand's Lemire reduction of one draw to [0, n), with its
+// power-of-two mask and its rejection loop for the 2^64 mod n biased
+// products. rand.Rand's 32-bit-platform variant yields the same values,
+// so this one form is exact everywhere.
+func (r *RNG) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.pcg.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(r.pcg.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.pcg.Uint64(), n)
+		}
+	}
+	return hi
+}
 
 // Uint64 returns a uniform 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
+func (r *RNG) Uint64() uint64 { return r.pcg.Uint64() }
 
 // NormFloat64 returns a standard normal variate.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
+func (r *RNG) NormFloat64() float64 { return r.rnd.NormFloat64() }
 
 // Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
+func (r *RNG) Perm(n int) []int { return r.rnd.Perm(n) }
 
-// Shuffle randomizes the order of n elements using the provided swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
+// Shuffle randomizes the order of n elements using the provided swap: the
+// Fisher–Yates pass of rand.Rand.Shuffle. It panics if n < 0.
+func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+	if n < 0 {
+		panic("stats: RNG.Shuffle requires n >= 0")
+	}
+	for i := n - 1; i > 0; i-- {
+		swap(i, int(r.uint64n(uint64(i+1))))
+	}
+}
 
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
@@ -118,7 +156,7 @@ func (r *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.src.Float64() < p
+	return r.Float64() < p
 }
 
 // SampleWithoutReplacement returns k distinct values drawn uniformly from
@@ -136,7 +174,7 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	displaced := make(map[int]int, k)
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
-		j := i + r.src.IntN(n-i)
+		j := i + r.IntN(n-i)
 		vi, ok := displaced[i]
 		if !ok {
 			vi = i
